@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	rtrace "runtime/trace"
+	"slices"
 	"time"
 
 	"goldilocks/internal/journal"
@@ -223,6 +224,8 @@ type Runner struct {
 	// hLinkUtil is resolved once so the per-link observation loop never
 	// touches the registry map.
 	hLinkUtil *telemetry.Histogram
+	// acct is the accounting working set reused by every epoch.
+	acct acctScratch
 
 	// recordsWritten counts journal appends by this runner instance (not
 	// carried across restarts) — the clock Options.CrashAfterRecords
@@ -254,6 +257,38 @@ func NewRunner(topo *topology.Topology, policy scheduler.Policy, opts Options) *
 		prevPlace: make(map[int]int),
 		hLinkUtil: opts.Telemetry.Histogram("cluster_link_utilization",
 			0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+		acct: newAcctScratch(topo),
+	}
+}
+
+// acctScratch is the epoch accounting's working set. The per-link and
+// per-server arrays are sized once from the topology (its shape is fixed
+// after build, see topology.Topology.Links); the per-container and
+// per-flow buffers grow with the largest workload seen and are then
+// reused, so the per-flow loops neither allocate nor touch a map.
+type acctScratch struct {
+	// linkLoad is the epoch's traffic per link id (Mbps), summed in flow
+	// order; touched marks the links at least one flow crossed.
+	linkLoad []float64
+	touched  []bool
+	// hopMS is each touched link's congestion-inflated per-hop latency.
+	hopMS []float64
+	// queueWait is each server's M/M/c wait as a multiple of the service
+	// time: it depends on the server only, not on the flow.
+	queueWait []float64
+	// flowWeight is each container's total flow weight.
+	flowWeight []float64
+	// samples holds one latency sample per accounted flow.
+	samples []metrics.WeightedSample
+}
+
+func newAcctScratch(topo *topology.Topology) acctScratch {
+	links := len(topo.Links())
+	return acctScratch{
+		linkLoad:  make([]float64, links),
+		touched:   make([]bool, links),
+		hopMS:     make([]float64, links),
+		queueWait: make([]float64, topo.NumServers()),
 	}
 }
 
@@ -422,6 +457,7 @@ func (r *Runner) account(in EpochInput, res scheduler.Result) EpochReport {
 	if burst <= 0 {
 		burst = 1
 	}
+	sc := &r.acct
 	numServers := r.topo.NumServers()
 	loads := make([]resources.Vector, numServers)
 	for i, s := range res.Placement {
@@ -442,14 +478,16 @@ func (r *Runner) account(in EpochInput, res scheduler.Result) EpochReport {
 		}
 	}
 
-	// Server power: the load-proportional axis is CPU.
+	// Server power: the load-proportional axis is CPU. The same CPU
+	// utilization sets the server's queueing delay for every flow it
+	// answers.
 	serverW := 0.0
 	activeCount := 0
 	utilSum := 0.0
-	cpuUtil := make([]float64, numServers)
 	for s := 0; s < numServers; s++ {
 		u := loads[s].Utilization(r.topo.Capacity[s])[resources.CPU]
-		cpuUtil[s] = u
+		cores := r.topo.Capacity[s][resources.CPU] / 100
+		sc.queueWait[s] = queueWaitFactor(math.Min(u, r.opts.MaxQueueUtil), cores)
 		if !active[s] {
 			continue
 		}
@@ -458,36 +496,30 @@ func (r *Runner) account(in EpochInput, res scheduler.Result) EpochReport {
 		serverW += r.topo.Server[s].Power(u)
 	}
 
-	linkLoad := r.linkLoads(in.Spec, res.Placement, burst)
-	networkW := r.networkPower(active, linkLoad)
+	// Size the per-workload buffers here so the hotpath loops never grow
+	// them.
+	nc := len(in.Spec.Containers)
+	sc.flowWeight = slices.Grow(sc.flowWeight[:0], nc)[:nc]
+	sc.samples = slices.Grow(sc.samples[:0], len(in.Spec.Flows))
+	r.linkLoads(in.Spec, res.Placement, burst)
+	networkW := r.networkPower(active)
 
-	linkUtil := make(map[*topology.Link]float64, len(linkLoad))
-	for l, mbps := range linkLoad {
+	for id, l := range r.topo.Links() {
+		if !sc.touched[id] {
+			continue
+		}
+		u := r.opts.MaxLinkUtil
 		if l.CapacityMbps > 0 {
-			linkUtil[l] = math.Min(mbps/l.CapacityMbps, r.opts.MaxLinkUtil)
-		} else {
-			linkUtil[l] = r.opts.MaxLinkUtil
+			u = math.Min(sc.linkLoad[id]/l.CapacityMbps, r.opts.MaxLinkUtil)
 		}
-	}
-	// Histogram increments commute, so ranging the map directly is safe:
-	// the resulting buckets are identical under any iteration order.
-	for _, u := range linkUtil {
 		r.hLinkUtil.Observe(u)
+		sc.hopMS[id] = r.opts.PerHopLatencyMS / (1 - u)
 	}
-	tct, weights := r.taskCompletionTimes(in.Spec, res.Placement, cpuUtil, linkUtil)
-	stats := metrics.SummarizeWeightedTCT(tct, weights)
+	badW, totalW := r.taskCompletionTimes(in.Spec, res.Placement)
+	stats := metrics.SummarizeWeightedTCT(sc.samples)
 	slaViolations := 0.0
-	if r.opts.SLATargetMS > 0 {
-		var badW, totalW float64
-		for i, ms := range tct {
-			totalW += weights[i]
-			if ms > r.opts.SLATargetMS {
-				badW += weights[i]
-			}
-		}
-		if totalW > 0 {
-			slaViolations = badW / totalW
-		}
+	if totalW > 0 {
+		slaViolations = badW / totalW
 	}
 
 	energy := (serverW + networkW) * r.opts.EpochLength.Seconds()
@@ -533,8 +565,10 @@ func (r *Runner) account(in EpochInput, res scheduler.Result) EpochReport {
 // number of aggregation/core switches plus backup paths (§II: idle
 // switches and links are turned off only after task packing, so a
 // locality-preserving placement that keeps traffic inside racks lets the
-// fabric layer power down).
-func (r *Runner) networkPower(active []bool, linkLoad map[*topology.Link]float64) float64 {
+// fabric layer power down). It reads the link loads linkLoads left in the
+// accounting scratch.
+func (r *Runner) networkPower(active []bool) float64 {
+	linkLoad := r.acct.linkLoad
 	total := 0.0
 	activeIn := func(n *topology.Node) int {
 		c := 0
@@ -562,7 +596,7 @@ func (r *Runner) networkPower(active []bool, linkLoad map[*topology.Link]float64
 				uplinks := 1 + r.opts.BackupSwitches
 				if n.Uplink != nil && n.Uplink.CapacityMbps > 0 {
 					perPort := n.Uplink.CapacityMbps / float64(sg.Model.NumPorts/2)
-					uplinks += int(math.Ceil(linkLoad[n.Uplink] / perPort))
+					uplinks += int(math.Ceil(linkLoad[n.LinkID()] / perPort))
 				}
 				total += sg.Model.Power(servers+uplinks) * float64(sg.Count)
 			}
@@ -578,7 +612,7 @@ func (r *Runner) networkPower(active []bool, linkLoad map[*topology.Link]float64
 					activeChildren++
 				}
 				if c.Uplink != nil {
-					transit += linkLoad[c.Uplink]
+					transit += linkLoad[c.LinkID()]
 					childCap += c.Uplink.CapacityMbps
 				}
 			}
@@ -608,18 +642,24 @@ func (r *Runner) networkPower(active []bool, linkLoad map[*topology.Link]float64
 	return total
 }
 
-// linkLoads estimates per-link traffic (Mbps) from the placement: every
-// container's network demand is spread over its flows proportionally to
-// flow weight, and each flow charges its path. This feeds both the
-// congestion term of the TCT model and the fabric power-down accounting.
-func (r *Runner) linkLoads(spec *workload.Spec, placement []int, burst float64) map[*topology.Link]float64 {
-	// Per-container total flow weight.
-	flowWeight := make([]float64, len(spec.Containers))
+// linkLoads estimates per-link traffic (Mbps) from the placement into the
+// accounting scratch: every container's network demand is spread over its
+// flows proportionally to flow weight, and each flow charges its path.
+// This feeds both the congestion term of the TCT model and the fabric
+// power-down accounting. Each link's load is summed in flow order.
+//
+//goldilocks:hotpath
+func (r *Runner) linkLoads(spec *workload.Spec, placement []int, burst float64) {
+	sc := &r.acct
+	flowWeight := sc.flowWeight
+	clear(flowWeight)
 	for _, f := range spec.Flows {
 		flowWeight[f.A] += f.Count
 		flowWeight[f.B] += f.Count
 	}
-	load := make(map[*topology.Link]float64)
+	load, touched := sc.linkLoad, sc.touched
+	clear(load)
+	clear(touched)
 	for _, f := range spec.Flows {
 		sa, sb := placement[f.A], placement[f.B]
 		if sa < 0 || sb < 0 {
@@ -636,42 +676,62 @@ func (r *Runner) linkLoads(spec *workload.Spec, placement []int, burst float64) 
 			traffic += spec.Containers[f.B].Demand[resources.Network] * f.Count / flowWeight[f.B]
 		}
 		traffic = traffic / 2 * burst // average the two endpoint estimates, apply the burst
-		for _, l := range r.topo.PathLinks(sa, sb) {
+		up, down := r.topo.PathLinkIDs(sa, sb)
+		for _, l := range up {
 			load[l] += traffic
+			touched[l] = true
+		}
+		for _, l := range down {
+			load[l] += traffic
+			touched[l] = true
 		}
 	}
-	return load
 }
 
-// taskCompletionTimes returns one latency sample per accounted flow,
-// weighted by the flow's request count so statistics are per-request:
-// M/M/c queueing at the responder's server plus congestion-inflated
-// per-hop latency along the pair's path — the paper's two levers
-// (headroom and locality) in one number.
-func (r *Runner) taskCompletionTimes(spec *workload.Spec, placement []int, cpuUtil []float64, linkUtil map[*topology.Link]float64) (samples, weights []float64) {
+// taskCompletionTimes fills the scratch sample buffer with one latency
+// sample per accounted flow, weighted by the flow's request count so
+// statistics are per-request: M/M/c queueing at the responder's server
+// plus congestion-inflated per-hop latency along the pair's path — the
+// paper's two levers (headroom and locality) in one number. When an SLA
+// target is set it also returns the sample weight above the target and
+// the total sample weight.
+//
+//goldilocks:hotpath
+func (r *Runner) taskCompletionTimes(spec *workload.Spec, placement []int) (badW, totalW float64) {
+	sc := &r.acct
+	focus, target := r.opts.FocusApp, r.opts.SLATargetMS
+	samples := sc.samples[:0]
 	for _, f := range spec.Flows {
-		a, b := f.A, f.B
-		ca, cb := spec.Containers[a], spec.Containers[b]
-		if r.opts.FocusApp != "" && (ca.App.Name != r.opts.FocusApp || cb.App.Name != r.opts.FocusApp) {
+		ca, cb := &spec.Containers[f.A], &spec.Containers[f.B]
+		if focus != "" && (ca.App.Name != focus || cb.App.Name != focus) {
 			continue
 		}
-		sa, sb := placement[a], placement[b]
+		sa, sb := placement[f.A], placement[f.B]
 		if sa < 0 || sb < 0 {
 			continue // a shed endpoint serves no requests
 		}
 		// Queueing at the responder's server: M/M/c with c = cores.
-		rho := math.Min(cpuUtil[sb], r.opts.MaxQueueUtil)
 		service := cb.App.ServiceTimeMS
-		cores := r.topo.Capacity[sb][resources.CPU] / 100
-		queued := service + service*queueWaitFactor(rho, cores)
+		queued := service + service*sc.queueWait[sb]
 		network := 0.0
-		for _, l := range r.topo.PathLinks(sa, sb) {
-			network += r.opts.PerHopLatencyMS / (1 - linkUtil[l])
+		up, down := r.topo.PathLinkIDs(sa, sb)
+		for _, l := range up {
+			network += sc.hopMS[l]
 		}
-		samples = append(samples, queued+network)
-		weights = append(weights, f.Count)
+		for _, l := range down {
+			network += sc.hopMS[l]
+		}
+		ms := queued + network
+		samples = append(samples, metrics.WeightedSample{MS: ms, Weight: f.Count})
+		if target > 0 {
+			totalW += f.Count
+			if ms > target {
+				badW += f.Count
+			}
+		}
 	}
-	return samples, weights
+	sc.samples = samples
+	return badW, totalW
 }
 
 // queueWaitFactor returns the expected waiting time as a multiple of the

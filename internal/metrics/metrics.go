@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -163,39 +164,54 @@ func SummarizeTCT(ms []float64) TCTStats {
 	}
 }
 
-// SummarizeWeightedTCT computes the latency summary where sample i carries
-// weight w[i] (e.g. one latency per flow weighted by the flow's request
-// count, giving per-request statistics). Non-positive weights drop the
-// sample. Count reports the number of contributing samples.
-func SummarizeWeightedTCT(ms, w []float64) TCTStats {
-	if len(ms) != len(w) {
-		panic(fmt.Sprintf("metrics: %d samples with %d weights", len(ms), len(w)))
-	}
-	type wv struct{ v, w float64 }
-	items := make([]wv, 0, len(ms))
+// WeightedSample is one latency sample (ms) carrying Weight requests.
+type WeightedSample struct {
+	MS, Weight float64
+}
+
+// SummarizeWeightedTCT computes the latency summary where each sample
+// carries a weight (e.g. one latency per flow weighted by the flow's
+// request count, giving per-request statistics). Non-positive weights drop
+// the sample. Count reports the number of contributing samples. The
+// summary works in place on the caller's buffer so repeated calls allocate
+// nothing: the positive-weight samples are compacted to the front of buf
+// and sorted by latency, and the contents past them are unspecified.
+func SummarizeWeightedTCT(buf []WeightedSample) TCTStats {
+	items := buf[:0]
 	var totalW, weightedSum float64
-	for i, v := range ms {
-		if w[i] <= 0 {
+	for _, s := range buf {
+		if s.Weight <= 0 {
 			continue
 		}
-		items = append(items, wv{v: v, w: w[i]})
-		totalW += w[i]
-		weightedSum += v * w[i]
+		items = append(items, s)
+		totalW += s.Weight
+		weightedSum += s.MS * s.Weight
 	}
 	if len(items) == 0 || totalW == 0 {
 		return TCTStats{}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].v < items[j].v })
+	slices.SortFunc(items, func(a, b WeightedSample) int {
+		// Only the sign of a < b matters: slices.SortFunc runs the same
+		// pdqsort as sort.Slice with less(a, b) == (a.MS < b.MS), so the
+		// permutation — ties included — is the one sort.Slice produces.
+		if a.MS < b.MS {
+			return -1
+		}
+		if a.MS > b.MS {
+			return 1
+		}
+		return 0
+	})
 	pct := func(p float64) float64 {
 		target := p / 100 * totalW
 		cum := 0.0
 		for _, it := range items {
-			cum += it.w
+			cum += it.Weight
 			if cum >= target {
-				return it.v
+				return it.MS
 			}
 		}
-		return items[len(items)-1].v
+		return items[len(items)-1].MS
 	}
 	return TCTStats{
 		MeanMS: weightedSum / totalW,

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -187,11 +189,20 @@ func TestPropertyMeanWithinRange(t *testing.T) {
 	}
 }
 
+// weighted zips latencies and weights into a sample buffer.
+func weighted(ms, w []float64) []WeightedSample {
+	buf := make([]WeightedSample, len(ms))
+	for i := range ms {
+		buf[i] = WeightedSample{MS: ms[i], Weight: w[i]}
+	}
+	return buf
+}
+
 func TestSummarizeWeightedTCT(t *testing.T) {
 	// One heavy sample dominates: weighted mean sits near it.
 	ms := []float64{1, 10}
 	w := []float64{1, 9}
-	st := SummarizeWeightedTCT(ms, w)
+	st := SummarizeWeightedTCT(weighted(ms, w))
 	if math.Abs(st.MeanMS-9.1) > 1e-9 {
 		t.Fatalf("weighted mean = %v, want 9.1", st.MeanMS)
 	}
@@ -204,29 +215,20 @@ func TestSummarizeWeightedTCT(t *testing.T) {
 }
 
 func TestSummarizeWeightedTCTDropsNonPositiveWeights(t *testing.T) {
-	st := SummarizeWeightedTCT([]float64{5, 100}, []float64{1, 0})
+	st := SummarizeWeightedTCT(weighted([]float64{5, 100}, []float64{1, 0}))
 	if st.MeanMS != 5 || st.Count != 1 {
 		t.Fatalf("stats = %+v, zero-weight sample must be dropped", st)
 	}
-	empty := SummarizeWeightedTCT([]float64{7}, []float64{0})
+	empty := SummarizeWeightedTCT(weighted([]float64{7}, []float64{0}))
 	if empty.Count != 0 || empty.MeanMS != 0 {
 		t.Fatalf("all-dropped stats = %+v", empty)
 	}
 }
 
-func TestSummarizeWeightedTCTPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch must panic")
-		}
-	}()
-	SummarizeWeightedTCT([]float64{1}, []float64{1, 2})
-}
-
 func TestSummarizeWeightedTCTMatchesUnweighted(t *testing.T) {
 	ms := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	w := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	a := SummarizeWeightedTCT(ms, w)
+	a := SummarizeWeightedTCT(weighted(ms, w))
 	b := SummarizeTCT(ms)
 	if math.Abs(a.MeanMS-b.MeanMS) > 1e-9 {
 		t.Fatalf("uniform weights: mean %v vs %v", a.MeanMS, b.MeanMS)
@@ -297,5 +299,61 @@ func TestPercentileEdgeCases(t *testing.T) {
 				t.Errorf("Percentile(%v, %v) = %v, want %v", tc.xs, tc.p, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestSummarizeWeightedTCTMatchesSortSlice checks the in-place
+// slices.SortFunc summary against a sort.Slice reference on samples with
+// heavy latency ties and distinct weights: the sorted buffer must be the
+// same permutation (ties included), and every statistic bit-identical.
+func TestSummarizeWeightedTCTMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(3000)
+		buf := make([]WeightedSample, n)
+		for i := range buf {
+			// Few distinct latencies, unique weights (some non-positive).
+			buf[i] = WeightedSample{MS: float64(rng.Intn(1 + trial%7)), Weight: float64(i) - float64(n)/20}
+		}
+		ref := make([]WeightedSample, 0, n)
+		var totalW, weightedSum float64
+		for _, s := range buf {
+			if s.Weight > 0 {
+				ref = append(ref, s)
+				totalW += s.Weight
+				weightedSum += s.MS * s.Weight
+			}
+		}
+		sort.Slice(ref, func(i, j int) bool { return ref[i].MS < ref[j].MS })
+
+		got := SummarizeWeightedTCT(buf)
+		if got.Count != len(ref) {
+			t.Fatalf("trial %d: count %d, want %d", trial, got.Count, len(ref))
+		}
+		for i := range ref {
+			if buf[i] != ref[i] {
+				t.Fatalf("trial %d: sorted[%d] = %+v, sort.Slice gives %+v", trial, i, buf[i], ref[i])
+			}
+		}
+		if len(ref) == 0 {
+			continue
+		}
+		pct := func(p float64) float64 {
+			target := p / 100 * totalW
+			cum := 0.0
+			for _, it := range ref {
+				cum += it.Weight
+				if cum >= target {
+					return it.MS
+				}
+			}
+			return ref[len(ref)-1].MS
+		}
+		want := TCTStats{MeanMS: weightedSum / totalW, P50MS: pct(50), P95MS: pct(95), P99MS: pct(99), Count: len(ref)}
+		for _, f := range [][2]float64{{got.MeanMS, want.MeanMS}, {got.P50MS, want.P50MS}, {got.P95MS, want.P95MS}, {got.P99MS, want.P99MS}} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				t.Fatalf("trial %d: stats %+v, reference %+v", trial, got, want)
+			}
+		}
 	}
 }

@@ -13,9 +13,10 @@
 package scheduler
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"goldilocks/internal/resources"
 	"goldilocks/internal/telemetry"
@@ -170,6 +171,8 @@ func auditPlacedGroups(req Request, policy string, placement []int, target float
 
 // demandOrder returns container indices sorted by descending dominant
 // normalized demand — the First Fit Decreasing order mPP and Borg use.
+// Equal keys keep index order, so the order is total and matches a stable
+// sort by key.
 func demandOrder(spec *workload.Spec, ref resources.Vector) []int {
 	type kv struct {
 		idx int
@@ -179,7 +182,15 @@ func demandOrder(spec *workload.Spec, ref resources.Vector) []int {
 	for i, c := range spec.Containers {
 		items[i] = kv{idx: i, key: c.Demand.Normalize(ref).Sum()}
 	}
-	sort.SliceStable(items, func(a, b int) bool { return items[a].key > items[b].key })
+	slices.SortFunc(items, func(a, b kv) int {
+		switch {
+		case a.key > b.key:
+			return -1
+		case a.key < b.key:
+			return 1
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 	order := make([]int, len(items))
 	for i, it := range items {
 		order[i] = it.idx

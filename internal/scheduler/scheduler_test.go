@@ -2,6 +2,8 @@ package scheduler
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"goldilocks/internal/partition"
@@ -557,4 +559,39 @@ func TestGoldilocksShardedMatchesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPlacementComplete(t, req, res)
+}
+
+// TestDemandOrderMatchesStableSort pins demandOrder's (key desc, index asc)
+// order to the stable descending sort it replaced, on random demands with
+// many tied keys.
+func TestDemandOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ref := resources.New(3200, 64*1024, 1000)
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(2000)
+		spec := &workload.Spec{Containers: make([]workload.Container, n)}
+		levels := 1 + trial%6 // few distinct demands → many ties
+		for i := range spec.Containers {
+			k := float64(rng.Intn(levels))
+			spec.Containers[i] = workload.Container{ID: i, Demand: resources.New(100*k, 512*float64(rng.Intn(2)), 10)}
+		}
+		type kv struct {
+			idx int
+			key float64
+		}
+		items := make([]kv, n)
+		for i, c := range spec.Containers {
+			items[i] = kv{idx: i, key: c.Demand.Normalize(ref).Sum()}
+		}
+		sort.SliceStable(items, func(a, b int) bool { return items[a].key > items[b].key })
+		got := demandOrder(spec, ref)
+		if len(got) != n {
+			t.Fatalf("trial %d: %d indices, want %d", trial, len(got), n)
+		}
+		for i, it := range items {
+			if got[i] != it.idx {
+				t.Fatalf("trial %d: order[%d] = %d, stable sort gives %d", trial, i, got[i], it.idx)
+			}
+		}
+	}
 }

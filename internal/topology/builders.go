@@ -57,6 +57,7 @@ func NewLeafSpine(leaves, serversPerLeaf, spines int, uplinkMbps float64, leafSw
 	}
 	t.nodes = append(t.nodes, root)
 	t.Root = root
+	t.index()
 	return t, nil
 }
 
@@ -130,6 +131,7 @@ func NewFatTree(k int, edgeSwitch, aggSwitch, coreSwitch power.SwitchModel, cfg 
 	}
 	t.nodes = append(t.nodes, root)
 	t.Root = root
+	t.index()
 	return t, nil
 }
 

@@ -119,7 +119,12 @@ type Node struct {
 	Switches []SwitchGroup
 	// ServerID is the server index for leaves, -1 otherwise.
 	ServerID int
+	// linkID is the dense id of Uplink (see Topology.Links), -1 at root.
+	linkID int32
 }
+
+// LinkID returns the dense id of the node's uplink, -1 at the root.
+func (n *Node) LinkID() int32 { return n.linkID }
 
 // IsServer reports whether the node is a server leaf.
 func (n *Node) IsServer() bool { return n.Level == LevelServer }
@@ -137,6 +142,11 @@ type Topology struct {
 	Server []power.ServerModel
 	// nodes lists every node, servers first, then racks, pods, root.
 	nodes []*Node
+	// links[id] is the uplink of the non-root node with link id id.
+	links []*Link
+	// chain[s] lists the link ids from server s's NIC up to (excluding)
+	// the root: one id per non-root ancestor, leaf first.
+	chain [][]int32
 	// failedServer flags servers taken down by FailServer; nil until the
 	// first failure touches the topology.
 	failedServer []bool
@@ -168,68 +178,88 @@ func (t *Topology) NumSwitches() int {
 // servers: 0 to itself, 2 within a rack, 4 within a pod, 6 across pods in a
 // three-tier network (twice the level of the lowest common ancestor).
 func (t *Topology) HopDistance(a, b int) int {
-	if a == b {
-		return 0
-	}
-	na, nb := t.ServerNode[a], t.ServerNode[b]
-	// Walk both up to equal depth, then in lockstep to the LCA.
-	hops := 0
-	for depth(na) > depth(nb) {
-		na = na.Parent
-		hops++
-	}
-	for depth(nb) > depth(na) {
-		nb = nb.Parent
-		hops++
-	}
-	for na != nb {
-		na, nb = na.Parent, nb.Parent
-		hops += 2
-	}
-	return hops
-}
-
-func depth(n *Node) int {
-	d := 0
-	for n.Parent != nil {
-		n = n.Parent
-		d++
-	}
-	return d
+	up, down := t.PathLinkIDs(a, b)
+	return len(up) + len(down)
 }
 
 // LCA returns the lowest common ancestor node of two servers.
 func (t *Topology) LCA(a, b int) *Node {
-	na, nb := t.ServerNode[a], t.ServerNode[b]
-	for depth(na) > depth(nb) {
-		na = na.Parent
+	up, _ := t.PathLinkIDs(a, b)
+	n := t.ServerNode[a]
+	for range up {
+		n = n.Parent
 	}
-	for depth(nb) > depth(na) {
-		nb = nb.Parent
-	}
-	for na != nb {
-		na, nb = na.Parent, nb.Parent
-	}
-	return na
+	return n
 }
 
 // PathLinks returns the aggregate links traversed by traffic between two
 // servers: the uplinks of every subtree strictly below the LCA on both
 // branches. A flow between servers in the same rack crosses both server
 // NIC links; across racks it additionally crosses the rack uplinks, etc.
+// The result is freshly allocated; per-flow loops use PathLinkIDs.
 func (t *Topology) PathLinks(a, b int) []*Link {
 	if a == b {
 		return nil
 	}
-	lca := t.LCA(a, b)
-	var links []*Link
-	for n := t.ServerNode[a]; n != lca; n = n.Parent {
-		links = append(links, n.Uplink)
+	up, down := t.PathLinkIDs(a, b)
+	links := make([]*Link, 0, len(up)+len(down))
+	for _, id := range up {
+		links = append(links, t.links[id])
 	}
-	for n := t.ServerNode[b]; n != lca; n = n.Parent {
-		links = append(links, n.Uplink)
+	for _, id := range down {
+		links = append(links, t.links[id])
 	}
 	return links
+}
+
+// PathLinkIDs returns the link ids PathLinks(a, b) would return, without
+// allocating: up is a's branch from its server NIC to just below the LCA,
+// down is b's branch in the same (upward) order. Both are sub-slices of the
+// build-time chains and must not be modified. The path walk compares link
+// ids: below the root two chains share a link id exactly when they share
+// the node, so the first position where the depth-aligned chains agree is
+// the LCA (or the root, where both chains end).
+//
+//goldilocks:hotpath
+func (t *Topology) PathLinkIDs(a, b int) (up, down []int32) {
+	ca, cb := t.chain[a], t.chain[b]
+	i, j := 0, 0
+	if d := len(ca) - len(cb); d > 0 {
+		i = d
+	} else {
+		j = -d
+	}
+	for i < len(ca) && ca[i] != cb[j] {
+		i++
+		j++
+	}
+	return ca[:i:i], cb[:j:j]
+}
+
+// Links returns every link indexed by link id (see Node.LinkID). The slice
+// is owned by the topology and must not be modified.
+func (t *Topology) Links() []*Link { return t.links }
+
+// index assigns the dense link ids and records every server's leaf→root
+// chain of link ids. Builders and Clone call it once the tree is complete;
+// the shape never changes afterwards (failures only rewrite capacities on
+// the same Link values), so the ids and chains stay valid for the
+// topology's lifetime.
+func (t *Topology) index() {
+	t.links = make([]*Link, 0, len(t.nodes))
+	for _, n := range t.nodes {
+		n.linkID = -1
+		if n.Parent != nil {
+			n.linkID = int32(len(t.links))
+			t.links = append(t.links, n.Uplink)
+		}
+	}
+	t.chain = make([][]int32, len(t.ServerNode))
+	for s, n := range t.ServerNode {
+		for ; n.Parent != nil; n = n.Parent {
+			t.chain[s] = append(t.chain[s], n.linkID)
+		}
+	}
 }
 
 // SubtreesAtLevel returns all nodes of the given level in left-to-right
@@ -472,5 +502,6 @@ func (t *Topology) Clone() *Topology {
 		return nn
 	}
 	c.Root = cloneNode(t.Root, nil)
+	c.index()
 	return c
 }

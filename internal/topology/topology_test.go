@@ -597,3 +597,138 @@ func BenchmarkHopDistanceFatTree28(b *testing.B) {
 		_ = tp.HopDistance(i%n, (i*7+13)%n)
 	}
 }
+
+// refDepth, refLCA and refHopDistance are the Parent-pointer walks LCA and
+// HopDistance used before the build-time chains, kept as the oracle for
+// TestPathLinkIDsMatchesPathLinks.
+func refDepth(n *Node) int {
+	d := 0
+	for n.Parent != nil {
+		n = n.Parent
+		d++
+	}
+	return d
+}
+
+func refLCA(t *Topology, a, b int) *Node {
+	na, nb := t.ServerNode[a], t.ServerNode[b]
+	for refDepth(na) > refDepth(nb) {
+		na = na.Parent
+	}
+	for refDepth(nb) > refDepth(na) {
+		nb = nb.Parent
+	}
+	for na != nb {
+		na, nb = na.Parent, nb.Parent
+	}
+	return na
+}
+
+func refHopDistance(t *Topology, a, b int) int {
+	if a == b {
+		return 0
+	}
+	na, nb := t.ServerNode[a], t.ServerNode[b]
+	hops := 0
+	for refDepth(na) > refDepth(nb) {
+		na = na.Parent
+		hops++
+	}
+	for refDepth(nb) > refDepth(na) {
+		nb = nb.Parent
+		hops++
+	}
+	for na != nb {
+		na, nb = na.Parent, nb.Parent
+		hops += 2
+	}
+	return hops
+}
+
+// refPathLinks is the uplink walk from each server up to the reference LCA.
+func refPathLinks(t *Topology, a, b int) []*Link {
+	if a == b {
+		return nil
+	}
+	lca := refLCA(t, a, b)
+	var links []*Link
+	for n := t.ServerNode[a]; n != lca; n = n.Parent {
+		links = append(links, n.Uplink)
+	}
+	for n := t.ServerNode[b]; n != lca; n = n.Parent {
+		links = append(links, n.Uplink)
+	}
+	return links
+}
+
+// TestPathLinkIDsMatchesPathLinks checks, for every server pair of the
+// testbed and the k=4/k=8 fat-trees and of their clones, that PathLinkIDs
+// names exactly the links of the Parent-pointer walk in the same order,
+// that PathLinks, LCA and HopDistance agree with the walk, and that a
+// clone's ids resolve to the clone's own links.
+func TestPathLinkIDsMatchesPathLinks(t *testing.T) {
+	ft := func(k int) *Topology {
+		tp, err := NewFatTree(k, power.Wedge, power.Wedge, power.Wedge, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	for _, base := range []*Topology{NewTestbed(), ft(4), ft(8)} {
+		clone := base.Clone()
+		for _, tp := range []*Topology{base, clone} {
+			links := tp.Links()
+			for _, n := range tp.Nodes() {
+				if n.Parent == nil {
+					if n.LinkID() != -1 {
+						t.Fatalf("%s: root link id %d, want -1", tp.Name, n.LinkID())
+					}
+					continue
+				}
+				if links[n.LinkID()] != n.Uplink {
+					t.Fatalf("%s: node %d's link id %d names another link", tp.Name, n.ID, n.LinkID())
+				}
+			}
+			for a := 0; a < tp.NumServers(); a++ {
+				for b := 0; b < tp.NumServers(); b++ {
+					want := refPathLinks(tp, a, b)
+					up, down := tp.PathLinkIDs(a, b)
+					if len(up)+len(down) != len(want) {
+						t.Fatalf("%s: PathLinkIDs(%d,%d) has %d+%d links, want %d", tp.Name, a, b, len(up), len(down), len(want))
+					}
+					for i, id := range append(append([]int32(nil), up...), down...) {
+						if links[id] != want[i] {
+							t.Fatalf("%s: PathLinkIDs(%d,%d)[%d] = link %d, not the walk's link", tp.Name, a, b, i, id)
+						}
+					}
+					got := tp.PathLinks(a, b)
+					if len(got) != len(want) || (want == nil) != (got == nil) {
+						t.Fatalf("%s: PathLinks(%d,%d) = %d links, want %d", tp.Name, a, b, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: PathLinks(%d,%d)[%d] differs from the walk", tp.Name, a, b, i)
+						}
+					}
+					if got, want := tp.LCA(a, b), refLCA(tp, a, b); got != want {
+						t.Fatalf("%s: LCA(%d,%d) = node %d, want %d", tp.Name, a, b, got.ID, want.ID)
+					}
+					if got, want := tp.HopDistance(a, b), refHopDistance(tp, a, b); got != want {
+						t.Fatalf("%s: HopDistance(%d,%d) = %d, want %d", tp.Name, a, b, got, want)
+					}
+				}
+			}
+		}
+		for _, l := range clone.Links() {
+			for _, o := range base.Links() {
+				if l == o {
+					t.Fatalf("%s: clone shares a link with the original", base.Name)
+				}
+			}
+		}
+	}
+	tp := ft(8)
+	if allocs := testing.AllocsPerRun(100, func() { tp.PathLinkIDs(3, 100) }); allocs != 0 {
+		t.Fatalf("PathLinkIDs allocates %v times per call, want 0", allocs)
+	}
+}

@@ -7,7 +7,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"goldilocks/internal/resources"
 )
@@ -110,5 +110,5 @@ func (c Container) ScaleDemand(f float64) Container {
 
 // String identifies the container.
 func (c Container) String() string {
-	return fmt.Sprintf("%s-%d", c.App.Name, c.ID)
+	return c.App.Name + "-" + strconv.Itoa(c.ID)
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -351,5 +352,29 @@ func TestPropertyScaledDemandLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestContainerStringMatchesSprintf pins the concatenation in
+// Container.String to the fmt.Sprintf("%s-%d") form it replaced.
+func TestContainerStringMatchesSprintf(t *testing.T) {
+	tests := []struct {
+		app string
+		id  int
+	}{
+		{TwitterCaching.Name, 0},
+		{TwitterCaching.Name, 7},
+		{"solr", 123456789},
+		{"", 42},
+		{"x", -1},
+		{"neg", -9876},
+		{"unicode-⟨⟩", math.MaxInt64},
+		{"min", math.MinInt64},
+	}
+	for _, tt := range tests {
+		c := Container{ID: tt.id, App: AppProfile{Name: tt.app}}
+		if got, want := c.String(), fmt.Sprintf("%s-%d", tt.app, tt.id); got != want {
+			t.Errorf("Container{%q, %d}.String() = %q, want %q", tt.app, tt.id, got, want)
+		}
 	}
 }
