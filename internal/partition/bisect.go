@@ -86,6 +86,13 @@ func bisectCSR(g *csrGraph, opts Options, frac float64, lim Limiter, a *levelAre
 	cspan.SetInt("coarsest_vertices", coarsest.n)
 	cspan.End()
 
+	// Levels refine coarsest first, each larger than the last: sizing the
+	// FM scratch for the finest refined level up front keeps the coarser
+	// levels from regrowing it one level at a time.
+	if opts.presplitRefineCap == 0 || n <= opts.presplitRefineCap {
+		a.fm.grow(n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	}
+
 	sideOf := out
 	if nl > 0 {
 		sideOf = growI8(&a.levels[nl-1].side, coarsest.n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
@@ -185,7 +192,7 @@ func initialBisection(g *csrGraph, dspan *telemetry.Span, opts Options, frac flo
 			return
 		}
 		// Tries share the Limiter with sibling tries, so the quick
-		// refinement stays serial (nil lim): its heap bytes are already
+		// refinement stays serial (nil lim): its moves are already
 		// identical either way, but a try must not hold workers hostage
 		// while sibling tries wait for slots.
 		cut := fmRefine(g, side, quickOpts, frac, nil, nil, &scr.fm)

@@ -25,9 +25,9 @@ package partition
 //  2. random draws — the arena re-seeds one math/rand generator with the
 //     same derived seeds and replays rand.Perm's exact draw sequence into a
 //     reused buffer, so visit orders are unchanged;
-//  3. tie-breaking — the typed gain heap replicates container/heap's
-//     sift-up/sift-down comparison sequence verbatim, so equal-gain vertices
-//     pop in the same order as before.
+//  3. tie-breaking — FM pops vertices in a total order (gain, then
+//     splitmix64 of the vertex id, then the id), so its move sequence is a
+//     function of the gains alone, whatever the queue's internal layout.
 
 import (
 	"fmt"
@@ -109,30 +109,35 @@ type csrLevel struct {
 	side []int8  // side assignment for g's vertices
 }
 
-// fmScratch is the working memory of one fmRefine call: vertex-indexed gain
-// and stamp arrays plus the heap and move log rebuilt every pass. Stamps
-// need no reset between uses — every pass bumps stamps[v] before publishing
-// heap entries, so entries from a previous owner can never match.
+// fmScratch is the working memory of one fmRefine call: vertex-indexed
+// gains and lock flags, the indexed gain queue, the per-side parked lists
+// and the move log. Every pass overwrites gains, locked and the queue for
+// the current size before reading them, so nothing needs a reset between
+// uses.
 type fmScratch struct {
-	gains    []float64
-	stamps   []uint64
-	locked   []bool
-	moves    []int32
-	heap     gainHeap
-	deferred gainHeap
-	bounds   []int32 // gain-init chunk boundaries (in-level parallel path)
+	gains  []float64
+	locked []bool
+	queue  gainQueue
+	parked [2][]int32
+	moves  []int32
+	bounds []int32 // gain-init chunk boundaries (in-level parallel path)
 }
 
 // grow resizes the vertex-indexed arrays to n, reallocating only when the
-// pooled capacity is too small.
+// pooled capacity is too small. The queue and each parked list hold at
+// most n vertices, so sizing them here keeps fmRefine's appends in place;
+// pos keeps its allocated length, as the queue only indexes it by vertex.
+// grow must stay small enough to inline, so that its allocations surface
+// at the (waived) call line inside the hot-path caller.
 func (s *fmScratch) grow(n int) {
 	if cap(s.gains) < n {
+		ids := make([]int32, 3*n) // pos and both parked lists
 		s.gains = make([]float64, n)
-		s.stamps = make([]uint64, n)
 		s.locked = make([]bool, n)
+		s.queue = gainQueue{items: make([]gainItem, 0, n), pos: ids[:n]}
+		s.parked = [2][]int32{ids[n : n : 2*n], ids[2*n : 2*n : 3*n]}
 	}
 	s.gains = s.gains[:n]
-	s.stamps = s.stamps[:n]
 	s.locked = s.locked[:n]
 }
 
@@ -148,8 +153,8 @@ func (s *fmScratch) grow(n int) {
 //
 // Reuse discipline: every buffer is either fully overwritten for the
 // current size before being read (match, cmap, side, perm, …) or carries an
-// explicit cross-use invariant (fmScratch stamps; marker, which is restored
-// to all −1 after every row it touches).
+// explicit cross-use invariant (marker, which is restored to all −1 after
+// every row it touches).
 type levelArena struct {
 	// Subproblem CSR storage (the graph this arena's subproblem partitions).
 	sub      csrGraph
@@ -291,17 +296,6 @@ func growI8(s *[]int8, n int) []int8 {
 func growF(s *[]float64, n int) []float64 {
 	if cap(*s) < n {
 		*s = make([]float64, n, grownCap(n))
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// growGainHeap resizes a gain heap to hold n entries for indexed writes
-// (the parallel gain-init path), reallocating only when the pooled
-// capacity is too small. Every entry is overwritten before init runs.
-func growGainHeap(s *gainHeap, n int) gainHeap {
-	if cap(*s) < n {
-		*s = make(gainHeap, n, grownCap(n))
 	}
 	*s = (*s)[:n]
 	return *s

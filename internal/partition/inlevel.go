@@ -466,24 +466,20 @@ func contractRouteParallel(fine *csrGraph, cmap []int32, cn int, fineOf []int32,
 	lvl.g.vw = vw
 }
 
-// gainInitChunked fills the per-pass FM gain heap across workers: each
-// vertex's starting gain is an independent row scan, and entry v lands at
-// index v — the same length-n array the serial append loop builds — so the
-// serial init() that follows sees identical bytes and every tie-break
-// downstream is unchanged. Kept out of fmRefine so the closure below
-// doesn't force fmRefine's locals to escape (fmRefine runs on the small-
-// graph serial path hundreds of times per PartitionToFit; a per-call heap
-// cell there would undo the arena work).
+// gainInitChunked fills the per-pass FM starting gains across workers:
+// each vertex's gain is an independent row scan written to gains[v], so
+// the result equals the serial loop's. Kept out of fmRefine so the closure
+// below doesn't force fmRefine's locals to escape (fmRefine runs on the
+// small-graph serial path hundreds of times per PartitionToFit; a per-call
+// heap cell there would undo the arena work).
 //
 //goldilocks:hotpath
-func gainInitChunked(g *csrGraph, sideOf []int8, gains []float64, stamps []uint64, locked []bool, lim Limiter, scr *fmScratch) gainHeap {
+func gainInitChunked(g *csrGraph, sideOf []int8, gains []float64, lim Limiter, scr *fmScratch) {
 	n := g.n
-	h := growGainHeap(&scr.heap, n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
 	nb := edgeChunkBounds(g.xadj, n, inLevelChunks(n), &scr.bounds)
 	xadj, adjn, wts := g.xadj, g.adj, g.w
 	runChunks(lim, len(nb)-1, func(c int) { //lint:ignore allocfree in-level fan-out bookkeeping, amortized across the chunk loop
 		for v := int(nb[c]); v < int(nb[c+1]); v++ {
-			locked[v] = false
 			sv := sideOf[v]
 			gain := 0.0
 			for k := xadj[v]; k < xadj[v+1]; k++ {
@@ -494,9 +490,6 @@ func gainInitChunked(g *csrGraph, sideOf []int8, gains []float64, stamps []uint6
 				}
 			}
 			gains[v] = gain
-			stamps[v]++
-			h[v] = gainItem{v: int32(v), gain: gain, stamp: stamps[v]}
 		}
 	})
-	return h
 }

@@ -3,16 +3,16 @@ package partition
 // Differential regression against the pre-CSR implementation. The flat-CSR
 // rewrite (csr.go) promises *bit-identical* partitions to the original
 // adjacency-list pipeline — same RNG draws, same float accumulation orders,
-// same heap tie-breaking. This file carries a test-only, serial copy of that
-// original pipeline (container/heap FM, graph.Graph coarsening, rng.Perm
-// matching, Subgraph recursion) and asserts the live implementation matches
-// it exactly on randomized graphs, including negative anti-affinity edges.
+// same FM move order. This file carries a test-only, serial copy of that
+// original pipeline (graph.Graph coarsening, rng.Perm matching, Subgraph
+// recursion) with a heap-free brute-force FM that restates fmRefine's pass
+// spec, and asserts the live implementation matches it exactly on
+// randomized graphs, including negative anti-affinity edges.
 // If an optimization ever changes an iteration order, these tests name the
 // first diverging structure instead of letting the determinism contract
 // drift silently.
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -158,26 +158,26 @@ func (b *legacyBalanceState) isBalanced() bool {
 	return b.side[0].Fits(b.maxSide[0]) && b.side[1].Fits(b.maxSide[1])
 }
 
-type legacyGainItem struct {
-	v     int
-	gain  float64
-	stamp uint64
+// legacyFMBefore is the FM queue's total order, restated: gain descending,
+// then splitmix64(v) ascending, then v ascending.
+func legacyFMBefore(gains []float64, a, b int) bool {
+	if gains[a] != gains[b] {
+		return gains[a] > gains[b]
+	}
+	ta, tb := splitmix64(uint64(a)), splitmix64(uint64(b))
+	if ta != tb {
+		return ta < tb
+	}
+	return a < b
 }
 
-type legacyGainHeap []legacyGainItem
-
-func (h legacyGainHeap) Len() int            { return len(h) }
-func (h legacyGainHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h legacyGainHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *legacyGainHeap) Push(x interface{}) { *h = append(*h, x.(legacyGainItem)) }
-func (h *legacyGainHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
+// legacyFMRefine is a heap-free brute-force reference of fmRefine's pass
+// spec: every step scans all unlocked, unparked vertices for the first one
+// in the total order; an unmovable one is parked (locked from inLevelMinN
+// vertices up) and the scan repeats, a movable one is moved and locked.
+// After every move *all* parked vertices are re-offered, so the reference
+// also checks fmRefine's shortcut of re-checking only the destination
+// side's parked vertices.
 func legacyFMRefine(g *graph.Graph, sideOf []int, opts Options, frac float64) float64 {
 	n := g.NumVertices()
 	if n == 0 {
@@ -187,8 +187,8 @@ func legacyFMRefine(g *graph.Graph, sideOf []int, opts Options, frac float64) fl
 	cut := g.CutWeight(sideOf)
 
 	gains := make([]float64, n)
-	stamps := make([]uint64, n)
 	locked := make([]bool, n)
+	parked := make([]bool, n)
 	var moves []int
 
 	computeGain := func(v int) float64 {
@@ -204,38 +204,39 @@ func legacyFMRefine(g *graph.Graph, sideOf []int, opts Options, frac float64) fl
 	}
 
 	for pass := 0; pass < opts.FMPasses; pass++ {
-		var h legacyGainHeap
 		for v := 0; v < n; v++ {
 			locked[v] = false
+			parked[v] = false
 			gains[v] = computeGain(v)
-			stamps[v]++
-			h = append(h, legacyGainItem{v: v, gain: gains[v], stamp: stamps[v]})
 		}
-		heap.Init(&h)
 
 		moves = moves[:0]
 		curCut := cut
 		bestCut := cut
 		bestPrefix := 0
-		var deferred []legacyGainItem
 
-		for h.Len() > 0 {
-			it := heap.Pop(&h).(legacyGainItem)
-			if it.stamp != stamps[it.v] || locked[it.v] {
-				continue
+		for {
+			v := -1
+			for u := 0; u < n; u++ {
+				if !locked[u] && !parked[u] && (v < 0 || legacyFMBefore(gains, u, v)) {
+					v = u
+				}
 			}
-			v := it.v
+			if v < 0 {
+				break
+			}
 			if !bal.canMove(g.VertexWeight(v), sideOf[v]) {
-				deferred = append(deferred, it)
-				if h.Len() == 0 {
-					break
+				if n >= inLevelMinN {
+					locked[v] = true
+				} else {
+					parked[v] = true
 				}
 				continue
 			}
 			bal.apply(g.VertexWeight(v), sideOf[v])
 			sideOf[v] = 1 - sideOf[v]
 			locked[v] = true
-			curCut -= it.gain
+			curCut -= gains[v]
 			moves = append(moves, v)
 			if curCut < bestCut-1e-12 {
 				bestCut = curCut
@@ -251,15 +252,10 @@ func legacyFMRefine(g *graph.Graph, sideOf []int, opts Options, frac float64) fl
 				} else {
 					gains[u] += 2 * e.Weight
 				}
-				stamps[u]++
-				heap.Push(&h, legacyGainItem{v: u, gain: gains[u], stamp: stamps[u]})
 			}
-			for _, d := range deferred {
-				if !locked[d.v] && d.stamp == stamps[d.v] {
-					heap.Push(&h, d)
-				}
+			for u := range parked {
+				parked[u] = false
 			}
-			deferred = deferred[:0]
 		}
 
 		for i := len(moves) - 1; i >= bestPrefix; i-- {

@@ -54,107 +54,172 @@ func (b *balanceState) isBalanced() bool {
 	return b.side[0].Fits(b.maxSide[0]) && b.side[1].Fits(b.maxSide[1])
 }
 
-// gainItem is a lazily-invalidated max-heap entry for FM refinement.
+// gainItem is one gain-queue entry: a vertex, its current FM gain and its
+// fixed tie-break key.
 type gainItem struct {
-	v     int32
-	gain  float64
-	stamp uint64
+	gain float64
+	tie  uint64
+	v    int32
 }
 
-// gainHeap is a typed max-heap of gainItems (highest gain first) that
-// replicates container/heap's Init/Push/Pop sift algorithms verbatim. The
-// replication matters twice over: interface boxing made heap operations the
-// partitioner's dominant allocation source, and — because several entries
-// often share a gain value — the *comparison sequence* of the sift
-// determines which vertex pops first, so any other heap arrangement would
-// silently change tie-breaking and break the bit-identity contract with the
-// pre-CSR implementation.
-type gainHeap []gainItem
+// before is the queue's total order: gain descending, then the tie key
+// ascending, then the vertex id ascending. The tie key is
+// splitmix64(uint64(v)) rather than v itself because container ids are
+// assigned app by app, so "v ascending" would bias equal-gain moves toward
+// some apps; the hash spreads them evenly. No two items compare equal, so
+// the pop sequence is a function of the gains alone, never of the heap
+// layout or the order of earlier updates.
+func (a *gainItem) before(b *gainItem) bool {
+	if a.gain != b.gain {
+		return a.gain > b.gain
+	}
+	if a.tie != b.tie {
+		return a.tie < b.tie
+	}
+	return a.v < b.v
+}
 
-func (h gainHeap) less(i, j int) bool { return h[i].gain > h[j].gain }
+// gainQueue is an indexed binary max-heap over gainItems in the before
+// order. Each vertex is in the queue at most once; pos[v] is its slot, or
+// −1 while it is out (popped, parked or locked). A gain change sifts the
+// item in place instead of pushing a duplicate, so the queue never holds
+// stale entries. Both slices are fmScratch memory sized by grow.
+type gainQueue struct {
+	items []gainItem
+	pos   []int32
+}
 
-// init establishes the heap invariant, exactly as container/heap.Init.
+// fill loads every vertex with its gain from gains and establishes the
+// heap invariant bottom-up.
 //
 //goldilocks:hotpath
-func (h gainHeap) init() {
-	n := len(h)
+func (q *gainQueue) fill(gains []float64) {
+	n := len(gains)
+	q.items = q.items[:n]
+	for v, gain := range gains {
+		q.items[v] = gainItem{gain: gain, tie: splitmix64(uint64(v)), v: int32(v)}
+		q.pos[v] = int32(v)
+	}
 	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
+		q.down(i)
 	}
 }
 
-// push appends it and sifts up, exactly as container/heap.Push.
+// push inserts v, which must be out of the queue, with the given gain.
 //
 //goldilocks:hotpath
-func (h *gainHeap) push(it gainItem) {
-	*h = append(*h, it)
-	s := *h
-	// Sift-up from container/heap.up.
-	j := len(s) - 1
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !s.less(j, i) {
+func (q *gainQueue) push(v int32, gain float64) {
+	i := len(q.items)
+	q.items = append(q.items, gainItem{gain: gain, tie: splitmix64(uint64(v)), v: v})
+	q.pos[v] = int32(i)
+	q.up(i)
+}
+
+// pop removes and returns the first item in the before order.
+//
+//goldilocks:hotpath
+func (q *gainQueue) pop() gainItem {
+	top := q.items[0]
+	last := len(q.items) - 1
+	q.items[0] = q.items[last]
+	q.pos[q.items[0].v] = 0
+	q.items = q.items[:last]
+	q.pos[top.v] = -1
+	if last > 0 {
+		q.down(0)
+	}
+	return top
+}
+
+// update sets v's gain, if v is queued, and sifts it toward the side the
+// gain actually moved. The direction must come from the sign of the
+// change, not from the side relation of the moved edge: anti-affinity
+// edges carry negative weights, so "now on the same side" can raise a
+// gain.
+//
+//goldilocks:hotpath
+func (q *gainQueue) update(v int32, gain float64) {
+	i := q.pos[v]
+	if i < 0 {
+		return
+	}
+	old := q.items[i].gain
+	q.items[i].gain = gain
+	if gain > old {
+		q.up(int(i))
+	} else if gain < old {
+		q.down(int(i))
+	}
+}
+
+//goldilocks:hotpath
+func (q *gainQueue) up(j int) {
+	s := q.items
+	it := s[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !it.before(&s[i]) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		s[j] = s[i]
+		q.pos[s[j].v] = int32(j)
 		j = i
 	}
+	s[j] = it
+	q.pos[it.v] = int32(j)
 }
 
-// pop removes and returns the max item, exactly as container/heap.Pop: swap
-// root with last, sift the new root down over the shortened prefix, detach
-// the last element.
-//
 //goldilocks:hotpath
-func (h *gainHeap) pop() gainItem {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	s.down(0, n)
-	it := s[n]
-	*h = s[:n]
-	return it
-}
-
-// down is container/heap.down verbatim (minus the unused return value).
-//
-//goldilocks:hotpath
-func (h gainHeap) down(i0, n int) {
-	i := i0
+func (q *gainQueue) down(i int) {
+	s := q.items
+	n := len(s)
+	it := s[i]
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2 // = 2*i + 2  // right child
+		if j2 := j + 1; j2 < n && s[j2].before(&s[j]) {
+			j = j2
 		}
-		if !h.less(j, i) {
+		if !s[j].before(&it) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		s[i] = s[j]
+		q.pos[s[i].v] = int32(i)
 		i = j
 	}
+	s[i] = it
+	q.pos[it.v] = int32(i)
 }
 
 // fmRefine runs Fiduccia–Mattheyses passes on the bisection in sideOf,
 // mutating it in place, and returns the resulting cut weight. frac is side
-// 1's target weight share. Each pass tentatively moves vertices in order of
-// decreasing gain (allowing uphill moves), then rolls back to the best
-// prefix. Passes repeat until no pass improves the cut or opts.FMPasses is
-// exhausted. span, when non-nil, receives one event per pass with the
-// resulting cut (the "FM refinement rounds" detail of the trace). scr is
-// caller-owned working memory (arena or try scratch), so refinement
-// allocates nothing once the scratch has grown to the graph's size.
+// 1's target weight share. Passes repeat until no pass improves the cut or
+// opts.FMPasses is exhausted. span, when non-nil, receives one event per
+// pass with the resulting cut (the "FM refinement rounds" detail of the
+// trace). scr is caller-owned working memory (arena or try scratch), so
+// refinement allocates nothing once the scratch has grown to the graph's
+// size.
+//
+// A pass is specified as: repeatedly move the first vertex, in the
+// gainItem.before order over current gains, that is unlocked and passes
+// canMove, lock it, and update its neighbors' gains (uphill moves
+// included); then roll back to the best prefix of the move sequence. A
+// vertex found unmovable ahead of that first movable one is parked — set
+// aside until a later move could make it movable — or, from inLevelMinN
+// vertices up, locked for the rest of the pass (parking is quadratic when
+// a large unmovable set meets a long move sequence; the next pass
+// reconsiders the vertex with fresh gains). After a move from side a to
+// side b only vertices parked on side b can have become movable, since
+// side a just got lighter and side b heavier, so only those are re-checked
+// and re-queued. Because the order is total, this is the same move
+// sequence as re-offering every parked vertex after every move.
 //
 // lim, when non-nil and the graph is large, fans the per-pass gain
 // initialization out across workers: each vertex's starting gain is an
-// independent row scan, and the heap is materialized as the same length-n
-// array the serial append loop builds (entry v at index v) before the
-// serial h.init() establishes the invariant — so the heap bytes, and
-// therefore every tie-break downstream, are unchanged. The move loop
-// itself stays strictly serial: move order is the algorithm's output.
+// independent row scan. The move loop itself stays strictly serial: move
+// order is the algorithm's output.
 //
 //goldilocks:hotpath
 func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *telemetry.Span, lim Limiter, scr *fmScratch) float64 {
@@ -167,24 +232,22 @@ func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *tele
 
 	scr.grow(n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
 	gains := scr.gains
-	stamps := scr.stamps
 	locked := scr.locked
+	q := &scr.queue
 	moves := scr.moves[:0]
 	xadj, adjn, wts, vw := g.xadj, g.adj, g.w, g.vw
+	lockUnmovable := n >= inLevelMinN
 
 	for pass := 0; pass < opts.FMPasses; pass++ {
-		h := scr.heap[:0]
 		if useInLevel(n, lim) {
 			// The chunked init lives in its own function: a closure here
-			// would make every captured local — including h — escape, and
-			// the per-call heap cells would cost an allocation on the
-			// small-graph serial path too (fmRefine runs hundreds of times
-			// per PartitionToFit). Keeping fmRefine closure-free keeps the
-			// steady-state allocs/op at its pre-in-level level.
-			h = gainInitChunked(g, sideOf, gains, stamps, locked, lim, scr)
+			// would make every captured local escape, and the per-call
+			// heap cells would cost an allocation on the small-graph
+			// serial path too (fmRefine runs hundreds of times per
+			// PartitionToFit).
+			gainInitChunked(g, sideOf, gains, lim, scr)
 		} else {
 			for v := 0; v < n; v++ {
-				locked[v] = false
 				sv := sideOf[v]
 				gain := 0.0
 				for k := xadj[v]; k < xadj[v+1]; k++ {
@@ -195,55 +258,33 @@ func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *tele
 					}
 				}
 				gains[v] = gain
-				stamps[v]++
-				h = append(h, gainItem{v: int32(v), gain: gain, stamp: stamps[v]})
 			}
 		}
-		h.init()
+		clear(locked)
+		q.fill(gains)
+		parked := [2][]int32{scr.parked[0][:0], scr.parked[1][:0]}
 
 		moves = moves[:0]
 		curCut := cut
 		bestCut := cut
 		bestPrefix := 0
-		deferred := scr.deferred[:0]
-		// The park-and-re-offer discipline below re-pushes every deferred
-		// vertex after every applied move. That is the right call on the
-		// small graphs the paper's figures use — nothing is ever locked
-		// out, and the legacy bytes are pinned to it — but it is quadratic
-		// when a large unmovable set coexists with a long move sequence: at
-		// 10⁵ power-law vertices the re-sifting of parked entries is >95%
-		// of total partitioning time. Above the structural size floor an
-		// unmovable vertex is locked for the rest of the pass instead (the
-		// next pass reconsiders it with fresh gains), keeping each pass at
-		// O((n + m) log n). The policy switch changes move order — and
-		// therefore output — only above the threshold, where no legacy
-		// bytes exist; either policy is a pure function of (graph, seed),
-		// so parallelism invariance is untouched.
-		lockUnmovable := n >= inLevelMinN
 
-		for len(h) > 0 {
-			it := h.pop()
-			if it.stamp != stamps[it.v] || locked[it.v] {
-				continue // stale entry
-			}
+		for len(q.items) > 0 {
+			it := q.pop()
 			v := it.v
-			if !bal.canMove(vw[v], sideOf[v]) {
+			from := sideOf[v]
+			if !bal.canMove(vw[v], from) {
 				if lockUnmovable {
 					locked[v] = true
-					continue
-				}
-				// Not movable right now; it may become movable
-				// after other moves rebalance the sides, so park
-				// it instead of locking it.
-				deferred = append(deferred, it)
-				if len(h) == 0 {
-					break
+				} else {
+					parked[from] = append(parked[from], v)
 				}
 				continue
 			}
 			// Apply the tentative move.
-			bal.apply(vw[v], sideOf[v])
-			sideOf[v] = 1 - sideOf[v]
+			bal.apply(vw[v], from)
+			to := 1 - from
+			sideOf[v] = to
 			locked[v] = true
 			curCut -= it.gain
 			moves = append(moves, v)
@@ -251,30 +292,32 @@ func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *tele
 				bestCut = curCut
 				bestPrefix = len(moves)
 			}
-			// Update unlocked neighbors' gains.
+			// Update unlocked neighbors' gains: u's edge to v flipped
+			// side, so its gain moves by ±2·w depending on whether they
+			// now differ.
 			for k := xadj[v]; k < xadj[v+1]; k++ {
 				u := adjn[k]
 				if locked[u] {
 					continue
 				}
-				// u's edge to v flipped side: the gain delta is
-				// ±2·w depending on whether they now differ.
-				if sideOf[u] == sideOf[v] {
+				if sideOf[u] == to {
 					gains[u] -= 2 * wts[k]
 				} else {
 					gains[u] += 2 * wts[k]
 				}
-				stamps[u]++
-				h.push(gainItem{v: u, gain: gains[u], stamp: stamps[u]})
+				q.update(u, gains[u])
 			}
-			// Re-offer deferred vertices now that balance changed (the
-			// lock-unmovable policy has nothing parked).
-			for _, d := range deferred {
-				if !locked[d.v] && d.stamp == stamps[d.v] {
-					h.push(d)
+			// Re-queue the vertices parked on the destination side that
+			// the move made movable.
+			kept := parked[to][:0]
+			for _, u := range parked[to] {
+				if bal.canMove(vw[u], to) {
+					q.push(u, gains[u])
+				} else {
+					kept = append(kept, u)
 				}
 			}
-			deferred = deferred[:0]
+			parked[to] = kept
 		}
 
 		// Roll back moves after the best prefix.
@@ -283,9 +326,6 @@ func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *tele
 			bal.apply(vw[v], sideOf[v])
 			sideOf[v] = 1 - sideOf[v]
 		}
-		// Hand grown buffers back to the scratch so later passes (and the
-		// next pooled user) reuse their capacity.
-		scr.heap, scr.deferred = h[:0], deferred[:0]
 		if span.Enabled() {
 			// telemetry.Itoa serves the pass/moves labels from its
 			// small-int cache, so a traced refinement round costs no

@@ -3,7 +3,7 @@ package partition
 // Topology-sharded partitioning (DESIGN.md §5.1.10). The flat pipeline's
 // wall at data-center scale is the serial FM move loop of the top-level
 // bisections: in-level parallelism (inlevel.go) spreads matching,
-// contraction and gain-init across workers, but the move loop's gain heap
+// contraction and gain-init across workers, but the move loop's gain queue
 // is inherently sequential, and critical-path attribution (PR 9) shows it
 // dominating epoch time beyond ~10⁵ containers. Sharding bounds each
 // partitioner instance's n instead of parallelizing inside it:
