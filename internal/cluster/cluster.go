@@ -214,9 +214,17 @@ type Runner struct {
 	opts   Options
 
 	epoch        int
-	prevPlace    map[int]int // container ID → server id, for migration diffs
 	totalEnergyJ float64
 	totalReqs    float64
+
+	// prevPlace maps container ID → server id, for migration diffs; nil
+	// until the first epoch.
+	prevPlace map[int]int
+	// nextPlace is migrationDiff's spare map: cleared, filled with the new
+	// placement and swapped with prevPlace, so the diff allocates no map
+	// once both exist. Nothing else holds either map across epochs (Prime
+	// and Snapshot copy prevPlace; Restore replaces it).
+	nextPlace map[int]int
 
 	// lastSnap is the previous epoch's metrics snapshot, diffed against the
 	// current one to emit per-epoch deltas on the epoch span.
@@ -251,10 +259,9 @@ func NewRunner(topo *topology.Topology, policy scheduler.Policy, opts Options) *
 		opts.MaxLinkUtil = DefaultOptions().MaxLinkUtil
 	}
 	return &Runner{
-		topo:      topo,
-		policy:    policy,
-		opts:      opts,
-		prevPlace: make(map[int]int),
+		topo:   topo,
+		policy: policy,
+		opts:   opts,
 		hLinkUtil: opts.Telemetry.Histogram("cluster_link_utilization",
 			0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
 		acct: newAcctScratch(topo),
@@ -759,7 +766,11 @@ func queueWaitFactor(rho, cores float64) float64 {
 func (r *Runner) migrationDiff(spec *workload.Spec, placement []int) (int, float64) {
 	migrations := 0
 	migMB := 0.0
-	next := make(map[int]int, len(placement))
+	next := r.nextPlace
+	if next == nil {
+		next = make(map[int]int, len(placement))
+	}
+	clear(next)
 	for i, s := range placement {
 		if s < 0 {
 			continue // shed: if re-admitted later it restarts, not migrates
@@ -771,6 +782,6 @@ func (r *Runner) migrationDiff(spec *workload.Spec, placement []int) (int, float
 			migMB += spec.Containers[i].Demand[resources.Memory]
 		}
 	}
-	r.prevPlace = next
+	r.prevPlace, r.nextPlace = next, r.prevPlace
 	return migrations, migMB
 }

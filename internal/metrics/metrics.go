@@ -5,8 +5,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -172,10 +174,25 @@ type WeightedSample struct {
 // SummarizeWeightedTCT computes the latency summary where each sample
 // carries a weight (e.g. one latency per flow weighted by the flow's
 // request count, giving per-request statistics). Non-positive weights drop
-// the sample. Count reports the number of contributing samples. The
-// summary works in place on the caller's buffer so repeated calls allocate
-// nothing: the positive-weight samples are compacted to the front of buf
-// and sorted by latency, and the contents past them are unspecified.
+// the sample. Count reports the number of contributing samples; MeanMS is
+// the weight-averaged latency, summed in input order.
+//
+// The p-th percentile is the smallest MS whose cumulative weight (all
+// samples with MS ≤ x) reaches p/100·totalW, or the largest MS when no
+// value reaches it — what a scan of the samples sorted by MS returns. It
+// is found by weighted selection (see weightedSelect), not by sorting.
+// The selection sums weights in a different order than a sorted scan. For
+// integer weights, and for dyadic weights with a bounded total, every such
+// sum is exact and the result equals the sorted scan bit for bit; for
+// arbitrary real weights the two can differ only when a target lies
+// within rounding error of the boundary between two groups of equal MS.
+//
+// The summary works in place on the caller's buffer so repeated calls
+// allocate nothing: the positive-weight samples are compacted to the
+// front of buf and then permuted, and the contents of buf afterwards are
+// unspecified.
+//
+//goldilocks:hotpath
 func SummarizeWeightedTCT(buf []WeightedSample) TCTStats {
 	items := buf[:0]
 	var totalW, weightedSum float64
@@ -190,35 +207,150 @@ func SummarizeWeightedTCT(buf []WeightedSample) TCTStats {
 	if len(items) == 0 || totalW == 0 {
 		return TCTStats{}
 	}
-	slices.SortFunc(items, func(a, b WeightedSample) int {
-		// Only the sign of a < b matters: slices.SortFunc runs the same
-		// pdqsort as sort.Slice with less(a, b) == (a.MS < b.MS), so the
-		// permutation — ties included — is the one sort.Slice produces.
-		if a.MS < b.MS {
-			return -1
-		}
-		if a.MS > b.MS {
-			return 1
-		}
-		return 0
-	})
-	pct := func(p float64) float64 {
-		target := p / 100 * totalW
-		cum := 0.0
-		for _, it := range items {
-			cum += it.Weight
-			if cum >= target {
-				return it.MS
-			}
-		}
-		return items[len(items)-1].MS
+	// Ascending percentiles give the ascending targets weightedSelect
+	// requires.
+	var targets, pct [3]float64
+	for i, p := range [3]float64{50, 95, 99} {
+		targets[i] = p / 100 * totalW
 	}
+	weightedSelect(items, 0, targets[:], pct[:], selectRoundLimit(len(items)))
 	return TCTStats{
 		MeanMS: weightedSum / totalW,
-		P50MS:  pct(50),
-		P95MS:  pct(95),
-		P99MS:  pct(99),
+		P50MS:  pct[0],
+		P95MS:  pct[1],
+		P99MS:  pct[2],
 		Count:  len(items),
+	}
+}
+
+// selectSortMax is the range length at or below which weightedSelect
+// sorts the range and scans it instead of partitioning further.
+const selectSortMax = 16
+
+// selectRoundLimit is the number of partition rounds weightedSelect may
+// spend on one branch before it sorts what is left: 2·log2(n). A ninther
+// pivot halves the range in expectation, so only an adversarial order
+// reaches the limit, and the sort then keeps the whole call O(n log n).
+func selectRoundLimit(n int) int { return 2 * bits.Len(uint(n)) }
+
+// weightedSelect resolves the ascending weight targets ts over items and
+// writes the percentile of ts[i] to out[i]. below is the weight of every
+// sample smaller than all of items, so a target t resolves to the
+// smallest MS x in items with below + (weight of items with MS ≤ x) ≥ t,
+// or to the largest MS in items when none reaches it.
+//
+// Each round partitions the range three ways around a ninther pivot v
+// (< v, == v, > v) while summing the weight below and at v. Targets the
+// "<" part reaches recurse into it, targets the "== v" group reaches
+// resolve to v, and the rest continue into the ">" part. All targets are
+// carried through one recursion, so a range shared by several targets is
+// partitioned once. After limit rounds on one branch the remaining range
+// is sorted and scanned. items is permuted in place; nothing is allocated.
+//
+//goldilocks:hotpath
+func weightedSelect(items []WeightedSample, below float64, ts, out []float64, limit int) {
+	for {
+		if len(items) <= selectSortMax || limit == 0 {
+			sortScan(items, below, ts, out)
+			return
+		}
+		limit--
+		v := ninther(items)
+		// Dijkstra's three-way partition: items[:lt] < v,
+		// items[lt:gt] == v, items[gt:] > v.
+		lt, gt := 0, len(items)
+		var wLess, wEq float64
+		for i := 0; i < gt; {
+			x := items[i]
+			switch {
+			case x.MS < v:
+				items[i], items[lt] = items[lt], x
+				wLess += x.Weight
+				lt++
+				i++
+			case x.MS > v:
+				gt--
+				items[i], items[gt] = items[gt], x
+			default:
+				wEq += x.Weight
+				i++
+			}
+		}
+		cLess := below + wLess
+		cEq := cLess + wEq
+		// ts[:a] fall in the "<" part, ts[a:b] resolve to v, ts[b:] lie
+		// beyond v. With no "<" part, a target at or below cLess is
+		// reached by v itself, the smallest MS in the range.
+		a := 0
+		if lt > 0 {
+			for a < len(ts) && ts[a] <= cLess {
+				a++
+			}
+		}
+		b := a
+		for b < len(ts) && (ts[b] <= cEq || gt == len(items)) {
+			out[b] = v // with no ">" part, v is the range's largest MS
+			b++
+		}
+		switch {
+		case a > 0 && b < len(ts):
+			weightedSelect(items[:lt], below, ts[:a], out[:a], limit)
+			items, below, ts, out = items[gt:], cEq, ts[b:], out[b:]
+		case a > 0:
+			items, ts, out = items[:lt], ts[:a], out[:a]
+		case b < len(ts):
+			items, below, ts, out = items[gt:], cEq, ts[b:], out[b:]
+		default:
+			return
+		}
+	}
+}
+
+// ninther returns Tukey's ninther of items: the median of the medians of
+// three groups of three samples spread evenly over the range. Flows arrive
+// app by app, so the input is far from random; sampling across the whole
+// range keeps the pivot near the middle on such structured orders.
+func ninther(items []WeightedSample) float64 {
+	step := (len(items) - 1) / 8
+	at := func(i int) float64 { return items[i*step].MS }
+	return median3(median3(at(0), at(1), at(2)), median3(at(3), at(4), at(5)), median3(at(6), at(7), at(8)))
+}
+
+// median3 returns the median of a, b and c.
+func median3(a, b, c float64) float64 {
+	if b < a {
+		a, b = b, a
+	}
+	if c < b {
+		b = c
+		if b < a {
+			b = a
+		}
+	}
+	return b
+}
+
+// sortScan resolves the targets by sorting items by MS and accumulating
+// their weights on top of below: the reference definition of the
+// percentile, applied to one range.
+//
+//goldilocks:hotpath
+func sortScan(items []WeightedSample, below float64, ts, out []float64) {
+	slices.SortFunc(items, func(a, b WeightedSample) int { return cmp.Compare(a.MS, b.MS) })
+	cum := below
+	j := 0
+	for _, it := range items {
+		cum += it.Weight
+		for j < len(ts) && cum >= ts[j] {
+			out[j] = it.MS
+			j++
+		}
+		if j == len(ts) {
+			return
+		}
+	}
+	for ; j < len(ts); j++ {
+		out[j] = items[len(items)-1].MS
 	}
 }
 

@@ -106,26 +106,61 @@ func (EPVM) Place(req Request) (Result, error) {
 	return Result{Placement: placement, AllServersOn: true, TargetUtil: 1.0}, nil
 }
 
-// packer tracks which servers a packing policy needs to examine for each
-// container: every currently-active server plus, per distinct capacity
-// class, the lowest-id still-empty server (all empty servers of one class
-// are interchangeable). On a homogeneous 5488-server topology this cuts
-// each placement step from O(servers) to O(active).
+// packer is the candidate scan shared by the packing baselines (mPP, Borg,
+// RC-Informed). A policy visits its containers in a fixed order and, for
+// the k-th, asks feasible for the servers that can take its demand. The
+// candidates come in a fixed order: every active server in activation
+// order, then, per capacity class in canonical order, the lowest-id server
+// never placed on (all empty servers of one class are interchangeable). On
+// a homogeneous 5488-server topology this cuts each placement step from
+// O(servers) to O(active).
+//
+// Closed servers are pruned. floor[k] is the per-dimension minimum demand
+// over containers k… in the policy's order. If used[s] + floor[k] does not
+// fit server s's limit, no container from k on fits s: each of their
+// demands is at least floor[k] in every dimension, float addition is
+// monotone, and used[s] grows only by what is placed on s. Such a server
+// is dropped from active for good. active is compacted in place, so the
+// remaining servers keep their order and every tie-break over the
+// candidates is the one the full scan makes. A zero-demand container makes
+// floor zero at and before its position, which disables pruning until it
+// has been placed.
 type packer struct {
-	load       *serverLoad
-	active     []int
-	emptyQueue map[resources.Vector][]int // ascending server ids per class
-	classes    []resources.Vector         // stable iteration order
-	scratch    []int
+	load    *serverLoad
+	limit   []resources.Vector // per-server fit limit the policy checks
+	floor   []resources.Vector // floor[k]: per-dimension min demand of containers k…
+	on      []bool             // server has been placed on
+	active  []int              // on servers not yet closed, in activation order
+	classes []resources.Vector // distinct capacities, ascending
+	empty   [][]int            // per class, ascending ids of servers never placed on
+	feas    []int              // feasible's result, reused across calls
 }
 
-func newPacker(load *serverLoad, capacities []resources.Vector) *packer {
-	p := &packer{load: load, emptyQueue: make(map[resources.Vector][]int)}
-	for s, c := range capacities {
-		if _, ok := p.emptyQueue[c]; !ok {
+// newPacker builds the scan for n containers whose k-th demand in the
+// policy's order is demand(k), on servers of the given physical
+// capacities with the fit limits the policy checks against.
+func newPacker(load *serverLoad, capacities, limit []resources.Vector, n int, demand func(k int) resources.Vector) *packer {
+	numServers := len(capacities)
+	p := &packer{
+		load:   load,
+		limit:  limit,
+		floor:  make([]resources.Vector, n),
+		on:     make([]bool, numServers),
+		active: make([]int, 0, numServers),
+		feas:   make([]int, 0, numServers),
+	}
+	for k := n - 1; k >= 0; k-- {
+		p.floor[k] = demand(k)
+		if k+1 < n {
+			p.floor[k] = p.floor[k].Min(p.floor[k+1])
+		}
+	}
+	class := make(map[resources.Vector]int)
+	for _, c := range capacities {
+		if _, ok := class[c]; !ok {
+			class[c] = len(p.classes)
 			p.classes = append(p.classes, c)
 		}
-		p.emptyQueue[c] = append(p.emptyQueue[c], s)
 	}
 	// Canonical class order (ascending lexicographic), not first-seen
 	// order: candidate iteration — and therefore every tie-break among
@@ -140,29 +175,63 @@ func newPacker(load *serverLoad, capacities []resources.Vector) *packer {
 		}
 		return false
 	})
+	for i, c := range p.classes {
+		class[c] = i
+	}
+	p.empty = make([][]int, len(p.classes))
+	for s, c := range capacities {
+		p.empty[class[c]] = append(p.empty[class[c]], s)
+	}
 	return p
 }
 
-// candidates returns the servers worth considering for the next container.
-// The returned slice is reused across calls.
-func (p *packer) candidates() []int {
-	p.scratch = append(p.scratch[:0], p.active...)
-	for _, c := range p.classes {
-		if q := p.emptyQueue[c]; len(q) > 0 {
-			p.scratch = append(p.scratch, q[0])
+// feasible returns, in candidate order, the servers where demand d — the
+// k-th container's — fits, and drops the active servers that are closed
+// for containers k… from the scan. The returned slice is reused across
+// calls.
+//
+//goldilocks:hotpath
+func (p *packer) feasible(k int, d resources.Vector) []int {
+	used, floor := p.load.used, &p.floor[k]
+	out := p.feas[:0]
+	open := p.active[:0]
+	for _, s := range p.active {
+		if fitsAfter(&used[s], &d, &p.limit[s]) {
+			out = append(out, s)
+		} else if !fitsAfter(&used[s], floor, &p.limit[s]) {
+			continue // closed: nothing from container k on fits s
+		}
+		open = append(open, s)
+	}
+	p.active = open
+	for _, q := range p.empty {
+		if len(q) > 0 && fitsAfter(&used[q[0]], &d, &p.limit[q[0]]) {
+			out = append(out, q[0])
 		}
 	}
-	return p.scratch
+	p.feas = out
+	return out
 }
 
-// place commits a container to a server, activating it if it was empty.
+// fitsAfter reports whether used + d fits within limit: the same sums and
+// comparisons as used.Add(d).Fits(limit), without copying the vectors.
+func fitsAfter(used, d, limit *resources.Vector) bool {
+	for i := range used {
+		if used[i]+d[i] > limit[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// place commits a container to a server, activating it on its first use.
 func (p *packer) place(server int, d resources.Vector) {
-	if p.load.used[server].IsZero() {
+	if !p.on[server] {
+		p.on[server] = true
 		p.active = append(p.active, server)
-		for _, c := range p.classes {
-			q := p.emptyQueue[c]
+		for c, q := range p.empty {
 			if len(q) > 0 && q[0] == server {
-				p.emptyQueue[c] = q[1:]
+				p.empty[c] = q[1:]
 				break
 			}
 		}
@@ -194,18 +263,15 @@ func (p MPP) Place(req Request) (Result, error) {
 		cap = 0.95
 	}
 	load := newServerLoad(req.Topo.NumServers())
-	usable := usableCapacities(req.Topo.Capacity, cap)
-	pk := newPacker(load, req.Topo.Capacity)
+	order := demandOrder(req.Spec, req.Topo.AverageCapacity())
+	pk := newPacker(load, req.Topo.Capacity, usableCapacities(req.Topo.Capacity, cap), len(order),
+		func(k int) resources.Vector { return req.Spec.Containers[order[k]].Demand })
 	placement := make([]int, req.Spec.NumContainers())
-	ref := req.Topo.AverageCapacity()
-	for _, i := range demandOrder(req.Spec, ref) {
+	for k, i := range order {
 		c := req.Spec.Containers[i]
 		best, bestSlope := -1, math.Inf(1)
 		bestActive := false
-		for _, s := range pk.candidates() {
-			if !load.fits(s, c.Demand, usable[s]) {
-				continue
-			}
+		for _, s := range pk.feasible(k, c.Demand) {
 			active := !load.used[s].IsZero()
 			slope := req.Topo.Server[s].MarginalPower(load.utilization(s, req.Topo.Capacity[s]))
 			// An already-on server always beats powering a new one
@@ -260,17 +326,14 @@ func (p Borg) Place(req Request) (Result, error) {
 		cap = 0.95
 	}
 	load := newServerLoad(req.Topo.NumServers())
-	usable := usableCapacities(req.Topo.Capacity, cap)
-	pk := newPacker(load, req.Topo.Capacity)
+	order := demandOrder(req.Spec, req.Topo.AverageCapacity())
+	pk := newPacker(load, req.Topo.Capacity, usableCapacities(req.Topo.Capacity, cap), len(order),
+		func(k int) resources.Vector { return req.Spec.Containers[order[k]].Demand })
 	placement := make([]int, req.Spec.NumContainers())
-	ref := req.Topo.AverageCapacity()
-	for _, i := range demandOrder(req.Spec, ref) {
+	for k, i := range order {
 		c := req.Spec.Containers[i]
 		best, bestScore := -1, math.Inf(1)
-		for _, s := range pk.candidates() {
-			if !load.fits(s, c.Demand, usable[s]) {
-				continue
-			}
+		for _, s := range pk.feasible(k, c.Demand) {
 			score := borgScore(load.used[s].Add(c.Demand), req.Topo.Capacity[s], load.used[s].IsZero())
 			if score < bestScore {
 				best, bestScore = s, score
@@ -334,8 +397,6 @@ func (p RCInformed) Place(req Request) (Result, error) {
 	for s, c := range req.Topo.Capacity {
 		buckets[s] = resources.OversubscribedCapacity(c, over)
 	}
-	pk := newPacker(load, req.Topo.Capacity)
-	placement := make([]int, req.Spec.NumContainers())
 	// Buckets fill in arrival order, and arrivals interleave across
 	// tenants — not in the workload's adjacency order. A deterministic
 	// hash shuffle models that (and is what denies bucket policies the
@@ -347,28 +408,26 @@ func (p RCInformed) Place(req Request) (Result, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return idHash(req.Spec.Containers[order[a]].ID) < idHash(req.Spec.Containers[order[b]].ID)
 	})
-	for _, i := range order {
-		c := req.Spec.Containers[i]
-		// Reservations come from what the owner asked for at container
-		// creation, not the live demand.
-		reserved := c.Reservation()
-		placed := false
+	// Reservations come from what the owner asked for at container
+	// creation, not the live demand.
+	pk := newPacker(load, req.Topo.Capacity, buckets, len(order),
+		func(k int) resources.Vector { return req.Spec.Containers[order[k]].Reservation() })
+	placement := make([]int, req.Spec.NumContainers())
+	for k, i := range order {
+		reserved := req.Spec.Containers[i].Reservation()
 		// First fit over lowest-id buckets with room: active servers
 		// plus the lowest empty one per class.
 		best := -1
-		for _, s := range pk.candidates() {
-			if load.fits(s, reserved, buckets[s]) && (best < 0 || s < best) {
+		for _, s := range pk.feasible(k, reserved) {
+			if best < 0 || s < best {
 				best = s
 			}
 		}
-		if best >= 0 {
-			placement[i] = best
-			pk.place(best, reserved)
-			placed = true
-		}
-		if !placed {
+		if best < 0 {
 			return Result{}, fmt.Errorf("%w: container %d (reserved %v)", ErrNoCapacity, i, reserved)
 		}
+		placement[i] = best
+		pk.place(best, reserved)
 	}
 	auditPlaced(req, p.Name(), placement, over)
 	return Result{Placement: placement, TargetUtil: over}, nil

@@ -25,17 +25,18 @@ func TestPackerClassOrderCanonical(t *testing.T) {
 	small := resources.New(1600, 32*1024, 1000)
 	// First-seen order is big, small; canonical order is small, big.
 	caps := []resources.Vector{big, small, big, small}
-	p := newPacker(newServerLoad(len(caps)), caps)
+	zero := func(int) resources.Vector { return resources.Vector{} }
+	p := newPacker(newServerLoad(len(caps)), caps, caps, 1, zero)
 	if len(p.classes) != 2 {
 		t.Fatalf("got %d classes, want 2", len(p.classes))
 	}
 	if p.classes[0] != small || p.classes[1] != big {
 		t.Fatalf("classes = %v, want ascending [%v %v]", p.classes, small, big)
 	}
-	// candidates() exposes one empty server per class, lowest id first
+	// feasible() offers one empty server per class, lowest id first
 	// within the class: server 1 (small), then server 0 (big).
-	if got, want := p.candidates(), []int{1, 0}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("candidates() = %v, want %v", got, want)
+	if got, want := p.feasible(0, resources.Vector{}), []int{1, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("feasible() = %v, want %v", got, want)
 	}
 }
 
